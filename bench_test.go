@@ -23,6 +23,7 @@ import (
 	"tnb/internal/metrics"
 	"tnb/internal/obs"
 	"tnb/internal/sim"
+	"tnb/internal/stats"
 	"tnb/internal/trace"
 )
 
@@ -141,7 +142,8 @@ func BenchmarkFig10SNRCDF(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(cdf.Quantile(0.5), "median-snr-db")
+			vals, _ := cdf.Points(cdf.Len())
+			b.ReportMetric(stats.Median(vals), "median-snr-db")
 		}
 	}
 }

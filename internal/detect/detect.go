@@ -102,15 +102,15 @@ type candidate struct {
 
 // refineScratch is one worker's reusable buffers for steps 2–4: the
 // accumulators refine and validatePreamble used to allocate per window and
-// per hypothesis, the coherent sums of evalQ, and the median scratch of
+// per hypothesis, the coherent sums of evalQ, and the median selector of
 // peakNearZero.
 type refineScratch struct {
-	acc     []float64    // summed signal vector (validate + down location)
-	y       []float64    // per-antenna magnitude vector
-	buf     []complex128 // dechirp/FFT buffer
-	upSum   []complex128 // coherent preamble sum (evalQ)
-	downSum []complex128 // coherent downchirp sum (evalQ)
-	med     []float64    // MedianScratch working space, 2n for the distribute path
+	acc     []float64      // summed signal vector (validate + down location)
+	y       []float64      // per-antenna magnitude vector
+	buf     []complex128   // dechirp/FFT buffer
+	upSum   []complex128   // coherent preamble sum (evalQ)
+	downSum []complex128   // coherent downchirp sum (evalQ)
+	sel     stats.Selector // noise-floor median (peakNearZero)
 }
 
 func (d *Detector) newRefineScratch() *refineScratch {
@@ -121,7 +121,6 @@ func (d *Detector) newRefineScratch() *refineScratch {
 		buf:     make([]complex128, n),
 		upSum:   make([]complex128, n),
 		downSum: make([]complex128, n),
-		med:     make([]float64, 2*n),
 	}
 }
 
@@ -184,13 +183,13 @@ const scanBatchRows = 8
 
 // scanScratch is one scan worker's reusable state for the window transform:
 // the batched scan kernel, the batch accumulator, the per-antenna batch
-// vector (multi-antenna traces only) and the median scratch of the adaptive
+// vector (multi-antenna traces only) and the median selector of the adaptive
 // selectivity.
 type scanScratch struct {
 	kernel *lora.ScanKernel
-	accb   []float64 // summed batch, scanBatchRows·n
-	yb     []float64 // per-antenna batch, allocated on first multi-antenna use
-	med    []float64 // MedianScratch working space, 2n for the distribute path
+	accb   []float64      // summed batch, scanBatchRows·n
+	yb     []float64      // per-antenna batch, allocated on first multi-antenna use
+	sel    stats.Selector // per-window noise-floor median
 	// lastMed seeds the next window's median selection: neighboring windows
 	// share a noise floor, so the previous median splits the distribute at
 	// the rank error. A stale or useless seed only costs speed — the
@@ -204,7 +203,6 @@ func (d *Detector) newScanScratch() *scanScratch {
 	return &scanScratch{
 		kernel: d.demod.NewScanKernel(),
 		accb:   make([]float64, scanBatchRows*n),
-		med:    make([]float64, 2*n),
 	}
 }
 
@@ -308,7 +306,7 @@ func (d *Detector) scanWorker(w, blo, bhi int) {
 			if sel := d.MinPeakHeight; sel != 0 {
 				d.scanPeaks[g] = peaks.FindInto(d.scanPeaks[g], row, sel, d.MaxPeaksPerWindow)
 			} else {
-				med, rot := stats.MedianArgMin(row, sc.med, sc.lastMed)
+				med, rot := sc.sel.MedianArgMin(row, sc.lastMed)
 				sc.lastMed = med
 				if sel = 6 * med; sel > 0 {
 					d.scanPeaks[g] = peaks.FindIntoAt(d.scanPeaks[g], row, sel, d.MaxPeaksPerWindow, rot)
@@ -516,7 +514,7 @@ func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64,
 				acc[i] += rs.y[i]
 			}
 		}
-		if e, ok := peakNearZero(acc, rs.med); ok {
+		if e, ok := peakNearZero(acc, &rs.sel); ok {
 			hits++
 			energy += e
 		}
@@ -536,7 +534,7 @@ func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64,
 				acc[i] += rs.y[i]
 			}
 		}
-		e, ok := peakNearZero(acc, rs.med)
+		e, ok := peakNearZero(acc, &rs.sel)
 		if !ok {
 			return 0, false
 		}
@@ -548,8 +546,8 @@ func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64,
 // peakNearZero checks for a substantial peak within ±2 bins of bin 0. A
 // stronger collider may own the global maximum of a preamble window, so the
 // test is local: the neighborhood value must stand well above the noise
-// floor (median bin, read without copying via the caller's scratch).
-func peakNearZero(acc, med []float64) (float64, bool) {
+// floor (median bin, selected by the caller's reusable Selector).
+func peakNearZero(acc []float64, sel *stats.Selector) (float64, bool) {
 	n := len(acc)
 	best := 0.0
 	for db := -2; db <= 2; db++ {
@@ -557,7 +555,7 @@ func peakNearZero(acc, med []float64) (float64, bool) {
 			best = v
 		}
 	}
-	floor := stats.MedianScratch(acc, med)
+	floor := sel.Median(acc)
 	if floor <= 0 {
 		return best, best > 0
 	}

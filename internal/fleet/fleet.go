@@ -185,9 +185,6 @@ func (f *Fleet) TrafficStartSec() float64 {
 	return float64(len(f.nodes))*joinStaggerSec + trafficGapSec
 }
 
-// EndSec is the logical end of the run.
-func (f *Fleet) EndSec() float64 { return f.TrafficStartSec() + f.cfg.DurationSec }
-
 // JoinRequests returns every node's join request as heard by its covering
 // gateways, sorted by receive time: the input for the activation phase.
 func (f *Fleet) JoinRequests() ([]netserver.Uplink, error) {

@@ -150,16 +150,8 @@ func (d *Demodulator) DechirpDownInto(buf []complex128, rx []complex128, start f
 	dsp.DechirpFused(buf, rx, start, float64(d.p.OSF), d.ref.Down, phase0, dphase)
 }
 
-// ComplexSignalVector returns FFT(rx_symbol ⊙ C'), the complex spectrum
-// used by the synchronization search.
-func (d *Demodulator) ComplexSignalVector(rx []complex128, start float64, cfoCycles float64, symIndex int) []complex128 {
-	buf := d.newBuf()
-	d.ComplexSignalVectorInto(buf, rx, start, cfoCycles, symIndex)
-	return buf
-}
-
 // ComplexSignalVectorInto computes FFT(rx_symbol ⊙ C') into buf (length N),
-// the no-copy form the fractional synchronization search runs per
+// the complex spectrum the fractional synchronization search evaluates per
 // hypothesis.
 func (d *Demodulator) ComplexSignalVectorInto(buf []complex128, rx []complex128, start float64, cfoCycles float64, symIndex int) {
 	d.DechirpInto(buf, rx, start, cfoCycles, symIndex)

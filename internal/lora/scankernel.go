@@ -13,9 +13,8 @@ package lora
 // the exact same IEEE arithmetic — each output row is bit-identical to
 // SignalVectorInto at the same start. (A split re/im variant of this kernel
 // measured slower than the complex row layout — the scatter store doubles
-// and the butterflies gain nothing without SIMD — so the batch rows stay
-// []complex128; the flat-plane transforms remain available in dsp behind
-// the same parity contract.)
+// and the butterflies gain nothing without SIMD — and was removed, so the
+// batch rows are []complex128.)
 //
 // A ScanKernel owns growable scratch and is not safe for concurrent use;
 // each scan worker holds its own.

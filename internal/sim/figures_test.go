@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -162,38 +163,30 @@ func TestScaleHelpers(t *testing.T) {
 	}
 }
 
-func TestRunBatchOrderAndParity(t *testing.T) {
+// TestRunIdenticalConfigsAgree pins that Run is a pure function of its
+// config: each run generates its own trace from the seed, so identical
+// configs must reproduce the result exactly, for every scheme.
+func TestRunIdenticalConfigsAgree(t *testing.T) {
 	cfg := Config{
-		Deployment:    Deployment{Name: "batch", Nodes: 4, MeanDB: 12, SpreadDB: 3, MinDB: 5, MaxDB: 20},
+		Deployment:    Deployment{Name: "repeat", Nodes: 4, MeanDB: 12, SpreadDB: 3, MinDB: 5, MaxDB: 20},
 		SF:            8,
 		CR:            4,
 		LoadPktPerSec: 4,
 		DurationSec:   1.0,
 		Seed:          42,
 	}
-	jobs := []Job{
-		{Config: cfg, Scheme: SchemeTnB},
-		{Config: cfg, Scheme: SchemeLoRaPHY},
-		{Config: cfg, Scheme: SchemeTnB}, // duplicate: must match job 0
-	}
-	par := RunBatch(jobs, 3)
-	seq := RunBatch(jobs, 1)
-	for i := range jobs {
-		if par[i].Err != nil || seq[i].Err != nil {
-			t.Fatalf("job %d errored: %v %v", i, par[i].Err, seq[i].Err)
+	for _, s := range []Scheme{SchemeTnB, SchemeLoRaPHY} {
+		first, err := Run(cfg, s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if par[i].Result.Decoded != seq[i].Result.Decoded {
-			t.Errorf("job %d: parallel %d vs sequential %d decodes",
-				i, par[i].Result.Decoded, seq[i].Result.Decoded)
+		again, err := Run(cfg, s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if par[i].Job.Scheme != jobs[i].Scheme {
-			t.Errorf("job %d: result order scrambled", i)
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("%v: identical configs gave different results: %d vs %d decodes",
+				s, again.Decoded, first.Decoded)
 		}
-	}
-	if par[0].Result.Decoded != par[2].Result.Decoded {
-		t.Error("identical jobs gave different results")
-	}
-	if out := RunBatch(nil, 4); len(out) != 0 {
-		t.Error("empty batch should give empty results")
 	}
 }

@@ -17,12 +17,10 @@ func sameMedian(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestSelectorMatchesPercentile pins the selector's contract: for NaN-free
-// input of any shape, Selector.Median equals Percentile(x, 50) bit for bit.
-func TestSelectorMatchesPercentile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var sel Selector
-	gens := map[string]func(n int) []float64{
+// medianShapes returns the input generators the selector tests share, keyed
+// by shape name. Each draws from rng.
+func medianShapes(rng *rand.Rand) map[string]func(n int) []float64 {
+	return map[string]func(n int) []float64{
 		"normal": func(n int) []float64 {
 			x := make([]float64, n)
 			for i := range x {
@@ -98,8 +96,15 @@ func TestSelectorMatchesPercentile(t *testing.T) {
 			return x
 		},
 	}
+}
+
+// TestSelectorMatchesPercentile pins the selector's contract: for NaN-free
+// input of any shape, Selector.Median equals Percentile(x, 50) bit for bit.
+func TestSelectorMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sel Selector
 	sizes := []int{1, 2, 3, 7, 31, 32, 33, 100, 256, 1023, 4096}
-	for name, gen := range gens {
+	for name, gen := range medianShapes(rng) {
 		for _, n := range sizes {
 			for trial := 0; trial < 5; trial++ {
 				x := gen(n)
@@ -114,73 +119,46 @@ func TestSelectorMatchesPercentile(t *testing.T) {
 	}
 }
 
-// TestMedianScratchDistributeMatchesPercentile pins MedianScratch's 2n fast
-// path (the distribute selection) against Percentile(x, 50) bit for bit on
-// the same input shapes as the Selector, and checks that the n-sized
-// fallback path agrees with it.
-func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
+// TestSelectorDistributeMatchesPercentile pins the distribute selection at
+// the sizes that straddle 16, where the distribute rounds hand over to the
+// insertion sort, against Percentile(x, 50) bit for bit.
+func TestSelectorDistributeMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	gens := []func(n int) []float64{
-		func(n int) []float64 { // normal
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = rng.NormFloat64() * 1e6
-			}
-			return x
-		},
-		func(n int) []float64 { // magsq, the scan's shape
-			x := make([]float64, n)
-			for i := range x {
-				v := rng.NormFloat64()
-				x[i] = v * v
-			}
-			return x
-		},
-		func(n int) []float64 { // duplicates
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = float64(rng.Intn(4))
-			}
-			return x
-		},
-		func(n int) []float64 { // constant
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = 3.25
-			}
-			return x
-		},
-		func(n int) []float64 { // extremes
-			x := make([]float64, n)
-			for i := range x {
-				switch rng.Intn(5) {
-				case 0:
-					x[i] = math.Inf(1)
-				case 1:
-					x[i] = math.Inf(-1)
-				case 2:
-					x[i] = 5e-324
-				default:
-					x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
-				}
-			}
-			return x
-		},
-	}
-	for gi, gen := range gens {
+	var sel Selector
+	for name, gen := range medianShapes(rng) {
 		for _, n := range []int{1, 2, 3, 15, 16, 17, 33, 256, 1023} {
 			for trial := 0; trial < 5; trial++ {
 				x := gen(n)
 				want := Percentile(x, 50)
-				wide := make([]float64, 2*n)
-				if got := MedianScratch(x, wide); !sameMedian(got, want) {
-					t.Fatalf("gen=%d n=%d trial=%d: distribute MedianScratch=%v (bits %x), Percentile=%v (bits %x)",
-						gi, n, trial, got, math.Float64bits(got), want, math.Float64bits(want))
+				if got := sel.Median(x); !sameMedian(got, want) {
+					t.Fatalf("%s n=%d trial=%d: Selector.Median=%v (bits %x), Percentile=%v (bits %x)",
+						name, n, trial, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				narrow := make([]float64, n)
-				if got := MedianScratch(x, narrow); !sameMedian(got, want) {
-					t.Fatalf("gen=%d n=%d trial=%d: fallback MedianScratch=%v, Percentile=%v",
-						gi, n, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectorMedianDoesNotModifyInput pins that Selector.Median selects in
+// its own key buffer and leaves the caller's slice untouched.
+func TestSelectorMedianDoesNotModifyInput(t *testing.T) {
+	var sel Selector
+	x := []float64{5, 1, 4, 2, 3}
+	if got := sel.Median(x); got != 3 {
+		t.Fatalf("Selector.Median = %v", got)
+	}
+	if x[0] != 5 || x[1] != 1 || x[2] != 4 || x[3] != 2 || x[4] != 3 {
+		t.Fatal("Selector.Median modified its input")
+	}
+	rng := rand.New(rand.NewSource(23))
+	for name, gen := range medianShapes(rng) {
+		for _, n := range []int{1, 16, 17, 257} {
+			x := gen(n)
+			orig := append([]float64(nil), x...)
+			sel.Median(x)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("%s n=%d: input modified at %d", name, n, i)
 				}
 			}
 		}
@@ -192,18 +170,19 @@ func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 // median in this package).
 func TestSelectPairTerminatesOnNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var sel Selector
 	for _, n := range []int{17, 64, 256} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = math.NaN()
 		}
-		MedianScratch(x, make([]float64, 2*n))
+		sel.Median(x)
 		for i := range x {
 			if rng.Intn(2) == 0 {
 				x[i] = rng.NormFloat64()
 			}
 		}
-		MedianScratch(x, make([]float64, 2*n))
+		sel.Median(x)
 	}
 }
 
@@ -231,7 +210,8 @@ func TestSelectorMedianAbsResiduals(t *testing.T) {
 }
 
 // TestSelectorZeroSteadyStateAllocs pins the pool contract: after the first
-// call sized the key buffer, Median and MedianAbsResiduals allocate nothing.
+// call sized the key buffer, Median, MedianArgMin and MedianAbsResiduals
+// allocate nothing.
 func TestSelectorZeroSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var sel Selector
@@ -244,6 +224,9 @@ func TestSelectorZeroSteadyStateAllocs(t *testing.T) {
 	sel.Median(x) // size the buffer
 	if n := testing.AllocsPerRun(100, func() { sel.Median(x) }); n != 0 {
 		t.Fatalf("Selector.Median allocates %v/op in steady state", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sel.MedianArgMin(x, 0.5) }); n != 0 {
+		t.Fatalf("Selector.MedianArgMin allocates %v/op in steady state", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sel.MedianAbsResiduals(x, fit) }); n != 0 {
 		t.Fatalf("Selector.MedianAbsResiduals allocates %v/op in steady state", n)
@@ -280,12 +263,13 @@ func BenchmarkMedianSelector(b *testing.B) {
 }
 
 // TestMedianArgMinMatchesPercentile pins the hinted selection: under every
-// hint — useful, useless, infinite, or NaN — MedianArgMin returns the same
-// bits as Percentile(x, 50), its input is untouched, and argMin is the first
-// index of the minimum. The pivot sequence may differ wildly between hints;
-// the order statistics must not.
+// hint — useful, useless, infinite, or NaN — Selector.MedianArgMin returns
+// the same bits as Percentile(x, 50), its input is untouched, and argMin is
+// the first index of the minimum. The pivot sequence may differ wildly
+// between hints; the order statistics must not.
 func TestMedianArgMinMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var sel Selector
 	gens := []func(n int) []float64{
 		func(n int) []float64 { // magsq, the scan's shape
 			x := make([]float64, n)
@@ -328,12 +312,12 @@ func TestMedianArgMinMatchesPercentile(t *testing.T) {
 					0,                    // at or below the minimum
 					math.Inf(1),          // everything below the pivot
 					math.Inf(-1),         // nothing below the pivot
-					math.NaN(),           // no hint: MedianScratch fallback
+					math.NaN(),           // no hint: plain Median path
 					x[rng.Intn(len(x))],  // an arbitrary element
 					-x[rng.Intn(len(x))], // likely below the minimum
 				}
 				for hi, hint := range hints {
-					got, arg := MedianArgMin(x, make([]float64, 2*n), hint)
+					got, arg := sel.MedianArgMin(x, hint)
 					if !sameMedian(got, want) {
 						t.Fatalf("gen=%d n=%d trial=%d hint[%d]=%v: MedianArgMin=%v (bits %x), Percentile=%v (bits %x)",
 							gi, n, trial, hi, hint, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -358,7 +342,7 @@ func TestMedianArgMinMatchesPercentile(t *testing.T) {
 // result must still match Percentile exactly.
 func TestMedianArgMinSeededChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	scratch := make([]float64, 512)
+	var sel Selector
 	hint := 0.0
 	for win := 0; win < 200; win++ {
 		scale := 1 + 5*math.Sin(float64(win)/13)*math.Sin(float64(win)/13)
@@ -368,7 +352,7 @@ func TestMedianArgMinSeededChain(t *testing.T) {
 			x[i] = v * v
 		}
 		want := Percentile(x, 50)
-		got, _ := MedianArgMin(x, scratch, hint)
+		got, _ := sel.MedianArgMin(x, hint)
 		if !sameMedian(got, want) {
 			t.Fatalf("window %d (hint %v): MedianArgMin=%v, Percentile=%v", win, hint, got, want)
 		}

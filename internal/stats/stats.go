@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used across the
-// receiver and the evaluation harness: central tendencies, robust deviation
-// measures, empirical CDFs, histograms and a moving-average smoother.
+// receiver and the evaluation harness: exact medians and percentiles, a
+// residual deviation measure, empirical CDFs and a moving-average smoother.
 package stats
 
 import (
@@ -8,320 +8,10 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
 // Median returns the median of x, or 0 for an empty slice. x is not
 // modified.
 func Median(x []float64) float64 {
 	return Percentile(x, 50)
-}
-
-// MedianInPlace returns the median of x, reordering x (but not resizing or
-// copying it). It is the zero-allocation counterpart of Median for hot paths
-// that own their buffer: a quickselect finds the order statistics instead of
-// a full sort, and the interpolation arithmetic matches Percentile(x, 50)
-// bit for bit so callers can swap it in without perturbing results.
-func MedianInPlace(x []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	// Percentile(50): pos = (n-1)/2, i = floor(pos), frac = pos - i.
-	i := (n - 1) / 2
-	frac := 0.5 * float64((n-1)%2)
-	quickselect(x, i)
-	if i+1 >= n {
-		return x[i]
-	}
-	// The (i+1)-th order statistic is the minimum of the partition right of
-	// i, which quickselect left with only >= elements.
-	next := x[i+1]
-	for _, v := range x[i+2:] {
-		if v < next {
-			next = v
-		}
-	}
-	return x[i]*(1-frac) + next*frac
-}
-
-// MedianScratch returns the median of x without modifying it, using scratch
-// as working space. With cap(scratch) >= 2·len(x) it runs the distribute
-// selection (selectPair) — the fast path for hot scans, where the in-place
-// quickselect's data-dependent partition branches mispredict on every
-// unseen window; with a smaller scratch it falls back to the in-place
-// quickselect, and allocates only when scratch is smaller than len(x).
-// Both paths return the same bits as Percentile(x, 50).
-func MedianScratch(x, scratch []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	if cap(scratch) >= 2*n {
-		s := scratch[:2*n]
-		copy(s[:n], x)
-		return median(s, n)
-	}
-	if cap(scratch) < n {
-		scratch = make([]float64, n)
-	}
-	s := scratch[:n]
-	copy(s, x)
-	return MedianInPlace(s)
-}
-
-// MedianScratchHint is MedianScratch with a caller-supplied pivot for the
-// first selection round. The hint never changes the result — selection
-// returns the exact order statistics under any pivot sequence — but a hint
-// near the median (a neighboring scan window's, say) shrinks the active
-// range to the rank error in one pass, and the hint round reads x directly,
-// skipping MedianScratch's protective copy. Callers with no usable hint
-// (NaN, or a cold start) get plain MedianScratch behavior.
-func MedianScratchHint(x, scratch []float64, hint float64) float64 {
-	med, _ := MedianArgMin(x, scratch, hint)
-	return med
-}
-
-// MedianArgMin returns MedianScratchHint's median together with the index of
-// the first occurrence of the minimum of x, folded into the hint round's
-// streaming pass so the detection scan walks each window once for both its
-// selectivity threshold and its peak-finder rotation. For empty x it returns
-// (0, 0).
-func MedianArgMin(x, scratch []float64, hint float64) (med float64, argMin int) {
-	n := len(x)
-	if n > 16 && cap(scratch) >= 2*n && !math.IsNaN(hint) {
-		s := scratch[:2*n]
-		i := (n - 1) / 2
-		frac := 0.5 * float64((n-1)%2)
-		kth, next, am := selectPairHint(x, s[:n], s[n:], i, hint)
-		if i+1 >= n {
-			return kth, am
-		}
-		return kth*(1-frac) + next*frac, am
-	}
-	am := 0
-	if n > 0 {
-		minV := x[0]
-		for t, v := range x {
-			if v < minV {
-				minV, am = v, t
-			}
-		}
-	}
-	return MedianScratch(x, scratch), am
-}
-
-// selectPair returns the k-th and (k+1)-th order statistics of a, destroying
-// a and using b (same length) as the distribute target. Each round streams
-// the active range through a two-ended distribute — every element is stored
-// unconditionally at both the low and high cursor and a comparison flag
-// advances exactly one of them — so the partition has no data-dependent
-// branches to mispredict, unlike an in-place quickselect swap walk. The
-// buffers ping-pong between rounds. When k is the last index the second
-// return value is meaningless (+Inf at worst); callers guard on k+1.
-func selectPair(a, b []float64, k int) (kth, next float64) {
-	return selectRounds(a, b, 0, len(a), k, math.Inf(1))
-}
-
-// selectPairHint is selectPair preceded by one distribute round that reads x
-// without modifying it and uses the caller's pivot instead of a sampled one.
-// The pivot sequence changes only how fast the active range shrinks, never
-// the order statistics returned, so any hint yields the same bits as
-// selectPair over a copy of x; a hint near the k-th order statistic (e.g.
-// the previous scan window's median) collapses the range to the rank error
-// in a single streaming pass. A hint at or below the minimum degenerates to
-// a reversed copy of x and the usual sampled rounds take over.
-//
-// Since the hint round already streams all of x, it also reports the index
-// of the first occurrence of the minimum, which the detection scan feeds to
-// the peak finder as its rotation point.
-func selectPairHint(x, a, b []float64, k int, hint float64) (kth, next float64, argMin int) {
-	n := len(x)
-	i, j := 0, n-1
-	minV := math.Inf(1)
-	for t := 0; t < n; t++ {
-		v := x[t]
-		a[i] = v
-		a[j] = v
-		c := 0
-		if v < hint {
-			c = 1
-		}
-		i += c
-		j += c - 1
-		if v < minV {
-			minV, argMin = v, t
-		}
-	}
-	// a[0:i] holds everything < hint, a[i:n] everything >= it — a partitioned
-	// permutation of x in every case, including the degenerate i == 0 (where
-	// a is x reversed), so no separate copy is ever needed.
-	if k < i {
-		rightMin := math.Inf(1)
-		for _, v := range a[i:] {
-			if v < rightMin {
-				rightMin = v
-			}
-		}
-		kth, next = selectRounds(a, b, 0, i, k, rightMin)
-		return kth, next, argMin
-	}
-	kth, next = selectRounds(a, b, i, n, k, math.Inf(1))
-	return kth, next, argMin
-}
-
-// selectRounds runs the sampled-pivot distribute rounds of selectPair over
-// the active range src[lo:hi], with rightMin the minimum of everything
-// already discarded to the right of it — the (k+1)-th order statistic when
-// k+1 falls past the final range.
-func selectRounds(src, dst []float64, lo, hi, k int, rightMin float64) (kth, next float64) {
-rounds:
-	for hi-lo > 16 {
-		mid := lo + (hi-lo)/2
-		p0, p1, p2 := src[lo], src[mid], src[hi-1]
-		if p1 < p0 {
-			p0, p1 = p1, p0
-		}
-		if p2 < p1 {
-			p1 = p2
-			if p1 < p0 {
-				p1 = p0
-			}
-		}
-		pivot := p1
-
-		i, j := lo, hi-1
-		for t := lo; t < hi; t++ {
-			v := src[t]
-			dst[i] = v
-			dst[j] = v
-			c := 0
-			if v < pivot {
-				c = 1
-			}
-			i += c
-			j += c - 1
-		}
-		// dst[lo:i] holds everything < pivot, dst[i:hi] everything >= it.
-		switch {
-		case k < i:
-			for _, v := range dst[i:hi] {
-				if v < rightMin {
-					rightMin = v
-				}
-			}
-			hi = i
-		case i > lo:
-			lo = i
-		default:
-			// Nothing below the pivot (constant stretches are common in
-			// gated signal vectors): split equals from greaters so the
-			// range still shrinks.
-			i, j = lo, hi-1
-			for t := lo; t < hi; t++ {
-				v := src[t]
-				dst[i] = v
-				dst[j] = v
-				c := 0
-				if v <= pivot {
-					c = 1
-				}
-				i += c
-				j += c - 1
-			}
-			if k < i {
-				// dst[lo:i] are all == pivot.
-				if k+1 < i {
-					return pivot, pivot
-				}
-				for _, v := range dst[i:hi] {
-					if v < rightMin {
-						rightMin = v
-					}
-				}
-				return pivot, rightMin
-			}
-			if i == lo {
-				// No comparison holds (NaN data): bail to the sort below,
-				// which terminates on any input.
-				break rounds
-			}
-			lo = i
-		}
-		src, dst = dst, src
-	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && src[j] < src[j-1]; j-- {
-			src[j], src[j-1] = src[j-1], src[j]
-		}
-	}
-	kth = src[k]
-	if k+1 < hi {
-		next = src[k+1]
-	} else {
-		next = rightMin
-	}
-	return kth, next
-}
-
-// quickselect partially orders x so that x[k] holds the k-th order
-// statistic, everything left of k is <=, and everything right is >=.
-// Median-of-three pivoting keeps the walk deterministic and robust on the
-// sorted and constant inputs common in signal vectors.
-func quickselect(x []float64, k int) {
-	lo, hi := 0, len(x)-1
-	for lo < hi {
-		if hi-lo < 12 {
-			// Insertion sort for small ranges.
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && x[j] < x[j-1]; j-- {
-					x[j], x[j-1] = x[j-1], x[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		if x[mid] < x[lo] {
-			x[mid], x[lo] = x[lo], x[mid]
-		}
-		if x[hi] < x[lo] {
-			x[hi], x[lo] = x[lo], x[hi]
-		}
-		if x[hi] < x[mid] {
-			x[hi], x[mid] = x[mid], x[hi]
-		}
-		pivot := x[mid]
-		i, j := lo, hi
-		for i <= j {
-			for x[i] < pivot {
-				i++
-			}
-			for x[j] > pivot {
-				j--
-			}
-			if i <= j {
-				x[i], x[j] = x[j], x[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
 }
 
 // Percentile returns the p-th percentile (0..100) of x using linear
@@ -347,21 +37,9 @@ func Percentile(x []float64, p float64) float64 {
 	return s[i]*(1-frac) + s[i+1]*frac
 }
 
-// MedianAbsDeviation returns the median of |x[i] - center|. It is the
-// robust deviation estimate used by Thrive's history cost.
-func MedianAbsDeviation(x []float64, center float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	d := make([]float64, len(x))
-	for i, v := range x {
-		d[i] = math.Abs(v - center)
-	}
-	return Median(d)
-}
-
 // MedianAbsResiduals returns the median of |x[i] - fit[i]|, the per-sample
-// residual deviation against a fitted curve.
+// residual deviation against a fitted curve. It is the allocating,
+// sort-based reference for Selector.MedianAbsResiduals.
 func MedianAbsResiduals(x, fit []float64) float64 {
 	n := min(len(x), len(fit))
 	if n == 0 {
@@ -374,30 +52,12 @@ func MedianAbsResiduals(x, fit []float64) float64 {
 	return Median(d)
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// MovingAverage returns the centered moving average of x with the given
-// window (forced odd, at least 1). Near the edges the window shrinks
-// symmetrically, matching MATLAB's smoothdata(..,'movmean') behaviour.
-func MovingAverage(x []float64, window int) []float64 {
-	return MovingAverageInto(make([]float64, len(x)), x, window)
-}
-
-// MovingAverageInto is MovingAverage writing into dst, which is resized
-// (reallocated only when its capacity is short of len(x)) and returned, so a
-// caller reusing the returned slice pays no steady-state allocations. dst
-// must not alias x.
+// MovingAverageInto writes the centered moving average of x with the given
+// window (forced odd, at least 1) into dst and returns it. Near the edges
+// the window shrinks symmetrically, matching MATLAB's
+// smoothdata(..,'movmean') behaviour. dst is resized (reallocated only when
+// its capacity is short of len(x)), so a caller reusing the returned slice
+// pays no steady-state allocations. dst must not alias x.
 func MovingAverageInto(dst, x []float64, window int) []float64 {
 	if window < 1 {
 		window = 1
@@ -447,28 +107,6 @@ func (c *CDF) At(v float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the smallest sample v with P(X <= v) >= q, clamping q to
-// (0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.sorted) {
-		i = len(c.sorted) - 1
-	}
-	return c.sorted[i]
-}
-
 // Points returns up to n evenly spaced (value, probability) points of the
 // CDF, convenient for printing a figure series.
 func (c *CDF) Points(n int) (values, probs []float64) {
@@ -493,24 +131,3 @@ func (c *CDF) Points(n int) (values, probs []float64) {
 
 // Len returns the number of samples behind the CDF.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped into the edge bins.
-func Histogram(samples []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, v := range samples {
-		b := int((v - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}

@@ -11,13 +11,10 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMeanMedian(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 {
-		t.Error("empty-slice mean/median should be 0")
+	if Median(nil) != 0 {
+		t.Error("empty-slice median should be 0")
 	}
 	x := []float64{3, 1, 2}
-	if !almostEq(Mean(x), 2, 1e-12) {
-		t.Errorf("Mean = %g", Mean(x))
-	}
 	if !almostEq(Median(x), 2, 1e-12) {
 		t.Errorf("Median = %g", Median(x))
 	}
@@ -62,17 +59,6 @@ func TestMedianIsOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestMedianAbsDeviation(t *testing.T) {
-	x := []float64{1, 2, 3, 100}
-	// |x - 2| = {1, 0, 1, 98}; median = 1.
-	if got := MedianAbsDeviation(x, 2); !almostEq(got, 1, 1e-12) {
-		t.Errorf("MAD = %g", got)
-	}
-	if MedianAbsDeviation(nil, 0) != 0 {
-		t.Error("MAD of empty slice should be 0")
-	}
-}
-
 func TestMedianAbsResiduals(t *testing.T) {
 	x := []float64{1, 2, 3}
 	fit := []float64{1.5, 2, 2}
@@ -85,17 +71,10 @@ func TestMedianAbsResiduals(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(x); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %g, want 2", got)
-	}
-}
-
 func TestMovingAverageConstantSignal(t *testing.T) {
 	x := []float64{5, 5, 5, 5, 5}
 	for _, w := range []int{1, 2, 3, 9} {
-		got := MovingAverage(x, w)
+		got := MovingAverageInto(nil, x, w)
 		for i, v := range got {
 			if !almostEq(v, 5, 1e-12) {
 				t.Errorf("w=%d i=%d: %g", w, i, v)
@@ -106,7 +85,7 @@ func TestMovingAverageConstantSignal(t *testing.T) {
 
 func TestMovingAverageSmooths(t *testing.T) {
 	x := []float64{0, 10, 0, 10, 0, 10}
-	got := MovingAverage(x, 3)
+	got := MovingAverageInto(nil, x, 3)
 	// Interior points average their neighborhoods.
 	want := []float64{5, 10.0 / 3, 20.0 / 3, 10.0 / 3, 20.0 / 3, 5}
 	for i := range want {
@@ -121,7 +100,7 @@ func TestMovingAveragePreservesLinearTrendInterior(t *testing.T) {
 	for i := range x {
 		x[i] = 2 * float64(i)
 	}
-	got := MovingAverage(x, 5)
+	got := MovingAverageInto(nil, x, 5)
 	for i := 2; i < len(x)-2; i++ {
 		if !almostEq(got[i], x[i], 1e-9) {
 			t.Errorf("linear trend not preserved at %d: %g", i, got[i])
@@ -144,38 +123,6 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]float64{10, 20, 30, 40})
-	if c.Quantile(0.25) != 10 || c.Quantile(0.5) != 20 || c.Quantile(1) != 40 {
-		t.Errorf("quantiles: %g %g %g", c.Quantile(0.25), c.Quantile(0.5), c.Quantile(1))
-	}
-	if c.Quantile(0) != 10 || c.Quantile(2) != 40 {
-		t.Error("quantile clamping failed")
-	}
-}
-
-func TestCDFQuantileInvertsAt(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		c := NewCDF(x)
-		for _, q := range []float64{0.1, 0.5, 0.9} {
-			v := c.Quantile(q)
-			if c.At(v) < q-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCDFPoints(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	vals, probs := c.Points(5)
@@ -191,105 +138,4 @@ func TestCDFPoints(t *testing.T) {
 	if v, p := c.Points(0); v != nil || p != nil {
 		t.Error("Points(0) should be nil")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.9, 1.5, 2.5, -1, 5}, 0, 3, 3)
-	// bins: [0,1): {0.1, 0.9, -1 clamped} = 3, [1,2): {1.5} = 1, [2,3]: {2.5, 5 clamped} = 2
-	want := []int{3, 1, 2}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, h[i], want[i])
-		}
-	}
-	if Histogram(nil, 1, 0, 3) != nil {
-		t.Error("invalid range should return nil")
-	}
-	if Histogram(nil, 0, 1, 0) != nil {
-		t.Error("zero bins should return nil")
-	}
-}
-
-func TestMedianInPlaceMatchesMedianExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(300)
-		x := make([]float64, n)
-		for i := range x {
-			switch rng.Intn(10) {
-			case 0:
-				x[i] = 0
-			case 1:
-				x[i] = x[max(0, i-1)] // duplicates
-			default:
-				x[i] = rng.ExpFloat64() * 1e3
-			}
-		}
-		want := Median(x)
-		cp := append([]float64(nil), x...)
-		got := MedianInPlace(cp)
-		if got != want { // bit-exact, not approximate: hot paths swap this in
-			t.Fatalf("n=%d: MedianInPlace = %v, Median = %v", n, got, want)
-		}
-		if gotS := MedianScratch(x, make([]float64, 0, n)); gotS != want {
-			t.Fatalf("n=%d: MedianScratch = %v, Median = %v", n, gotS, want)
-		}
-	}
-}
-
-func TestMedianScratchDoesNotModifyInput(t *testing.T) {
-	x := []float64{5, 1, 4, 2, 3}
-	scratch := make([]float64, 5)
-	if got := MedianScratch(x, scratch); got != 3 {
-		t.Fatalf("MedianScratch = %v", got)
-	}
-	if x[0] != 5 || x[1] != 1 || x[4] != 3 {
-		t.Fatal("MedianScratch modified its input")
-	}
-	// Undersized scratch still works (allocates internally).
-	if got := MedianScratch(x, nil); got != 3 {
-		t.Fatalf("MedianScratch(nil scratch) = %v", got)
-	}
-}
-
-func TestMedianInPlaceSortedAndReversed(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 12, 13, 100, 101} {
-		asc := make([]float64, n)
-		for i := range asc {
-			asc[i] = float64(i)
-		}
-		desc := make([]float64, n)
-		for i := range desc {
-			desc[i] = float64(n - i)
-		}
-		wantAsc := Median(asc)
-		wantDesc := Median(desc)
-		if got := MedianInPlace(append([]float64(nil), asc...)); got != wantAsc {
-			t.Fatalf("sorted n=%d: got %v want %v", n, got, wantAsc)
-		}
-		if got := MedianInPlace(append([]float64(nil), desc...)); got != wantDesc {
-			t.Fatalf("reversed n=%d: got %v want %v", n, got, wantDesc)
-		}
-	}
-}
-
-func BenchmarkMedian(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = rng.ExpFloat64()
-	}
-	b.Run("copy-sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Median(x)
-		}
-	})
-	scratch := make([]float64, 256)
-	b.Run("scratch-select", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MedianScratch(x, scratch)
-		}
-	})
 }
