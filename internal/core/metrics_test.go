@@ -27,6 +27,8 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 
 	for name, h := range map[string]*metrics.Histogram{
 		"detect":  met.DetectSeconds,
+		"scan":    met.ScanSeconds,
+		"refine":  met.RefineSeconds,
 		"sigcalc": met.SigCalcSeconds,
 		"thrive":  met.ThriveSeconds,
 		"decode":  met.DecodeSeconds,

@@ -102,31 +102,40 @@ type candidate struct {
 
 // refineScratch is one worker's reusable buffers for steps 2–4: the
 // accumulators refine and validatePreamble used to allocate per window and
-// per hypothesis, the coherent sums of evalQ, and the median selector of
+// per hypothesis, the Q-search state of sync.go, and the median selector of
 // peakNearZero.
 type refineScratch struct {
-	acc     []float64      // summed signal vector (validate + down location)
-	y       []float64      // per-antenna magnitude vector
-	buf     []complex128   // dechirp/FFT buffer
-	upSum   []complex128   // coherent preamble sum (evalQ)
-	downSum []complex128   // coherent downchirp sum (evalQ)
-	sel     stats.Selector // noise-floor median (peakNearZero)
+	acc      []float64      // summed signal vector (validate + down location)
+	y        []float64      // per-antenna magnitude vector
+	buf      []complex128   // dechirp/FFT buffer
+	dechirps []complex128   // qRows dechirped windows at one δt, CFO-free (dechirpSet)
+	upW      []complex128   // CFO-weighted upchirp sum (weightSums)
+	downW    []complex128   // CFO-weighted downchirp sum (weightSums)
+	upSum    []complex128   // rotated, transformed upchirp sum (qAt)
+	downSum  []complex128   // rotated, transformed downchirp sum (qAt)
+	qStars   []float64      // phase-2 Q* values, two δf lines × phase2Steps
+	sel      stats.Selector // noise-floor median (peakNearZero)
 }
 
 func (d *Detector) newRefineScratch() *refineScratch {
 	n := d.p.N()
 	return &refineScratch{
-		acc:     make([]float64, n),
-		y:       make([]float64, n),
-		buf:     make([]complex128, n),
-		upSum:   make([]complex128, n),
-		downSum: make([]complex128, n),
+		acc:      make([]float64, n),
+		y:        make([]float64, n),
+		buf:      make([]complex128, n),
+		dechirps: make([]complex128, qRows*n),
+		upW:      make([]complex128, n),
+		downW:    make([]complex128, n),
+		upSum:    make([]complex128, n),
+		downSum:  make([]complex128, n),
+		qStars:   make([]float64, 2*d.phase2Steps()),
 	}
 }
 
 // Detect scans the trace (all antennas, signal vectors summed) and returns
 // the refined packets sorted by start time.
 func (d *Detector) Detect(antennas [][]complex128) []Packet {
+	d.ScanStats, d.RefineStats = parallel.Stats{}, parallel.Stats{}
 	if len(antennas) == 0 || len(antennas[0]) == 0 {
 		return nil
 	}

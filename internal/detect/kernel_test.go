@@ -106,20 +106,21 @@ func BenchmarkScanPreambles(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalQ measures one Q evaluation — the unit of the §7 fractional
-// search, run hundreds of times per candidate — at a detection-like
-// fractional start with a nonzero CFO hypothesis.
-func BenchmarkEvalQ(b *testing.B) {
-	p := lora.MustParams(8, 4, 125e3, 8)
-	tr := buildScanTrace(b, p, 7)
-	d := NewDetector(p)
+// BenchmarkFractionalSearch measures one whole §7 3-phase Q-search — the
+// unit of refine work, since dechirp sets and weighted sums are shared
+// across its hypotheses — from a coarse estimate 2.37 samples and 0.3
+// cycles off a packet of a collided SF8 trace.
+func BenchmarkFractionalSearch(b *testing.B) {
+	c := qOracleCase{"sf8", lora.MustParams(8, 4, 125e3, 8), 1, 31}
+	tr, recs := buildCollidedTrace(b, c)
+	start, cfo := recs[1].StartSample+2.37, recs[1].CFOHz*c.p.SymbolDuration()+0.3
+	d := NewDetector(c.p)
 	rs := d.newRefineScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := d.evalQ(tr.Antennas, 20000.37, -1.8, 0.25, -0.3, rs)
-		if r.energy <= 0 {
-			b.Fatal("no energy")
+		if _, _, q := d.fractionalSearch(tr.Antennas, start, cfo, rs); q <= 0 {
+			b.Fatal("search found nothing")
 		}
 	}
 }

@@ -150,20 +150,9 @@ func (d *Demodulator) DechirpDownInto(buf []complex128, rx []complex128, start f
 	dsp.DechirpFused(buf, rx, start, float64(d.p.OSF), d.ref.Down, phase0, dphase)
 }
 
-// ComplexSignalVectorInto computes FFT(rx_symbol ⊙ C') into buf (length N),
-// the complex spectrum the fractional synchronization search evaluates per
-// hypothesis.
-func (d *Demodulator) ComplexSignalVectorInto(buf []complex128, rx []complex128, start float64, cfoCycles float64, symIndex int) {
-	d.DechirpInto(buf, rx, start, cfoCycles, symIndex)
-	d.plan.Forward(buf)
-}
-
-// ComplexDownVectorInto computes FFT(rx_symbol ⊙ C) into buf (length N),
-// the downchirp counterpart of ComplexSignalVectorInto.
-func (d *Demodulator) ComplexDownVectorInto(buf []complex128, rx []complex128, start float64, cfoCycles float64, symIndex int) {
-	d.DechirpDownInto(buf, rx, start, cfoCycles, symIndex)
-	d.plan.Forward(buf)
-}
+// Forward replaces x (length N) with its N-point FFT, in place, using the
+// demodulator's shared plan.
+func (d *Demodulator) Forward(x []complex128) { d.plan.Forward(x) }
 
 // SignalVectorInto computes the signal vector Y = |FFT(symbol ⊙ C')|² into
 // y (length N), reusing buf (length N) as scratch. The spectrum is never

@@ -190,11 +190,13 @@ func TestForEachChunksOrderedPrefixOrder(t *testing.T) {
 					}
 					mu.Unlock()
 				}, func(lo, hi int) {
+					mu.Lock()
 					for i := lo; i < hi; i++ {
 						if !computed[i] {
 							t.Errorf("done([%d,%d)) before fn computed %d", lo, hi, i)
 						}
 					}
+					mu.Unlock()
 					doneOrder = append(doneOrder, lo)
 				})
 				next := 0

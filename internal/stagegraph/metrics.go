@@ -13,8 +13,11 @@ import (
 // nil check per stage. Create with NewPipelineMetrics, or use
 // DefaultPipelineMetrics for the process-wide registry.
 type PipelineMetrics struct {
-	// Stage latencies, one histogram per pipeline stage of Fig. 3.
+	// Stage latencies, one histogram per pipeline stage of Fig. 3, plus
+	// detection's two halves (wall time of each fan-out).
 	DetectSeconds  *metrics.Histogram // packet detection over the window
+	ScanSeconds    *metrics.Histogram // detect: per-window preamble scan
+	RefineSeconds  *metrics.Histogram // detect: candidate refinement (Q-search)
 	SigCalcSeconds *metrics.Histogram // per-packet signal-vector calculator setup
 	ThriveSeconds  *metrics.Histogram // peak assignment (both passes)
 	DecodeSeconds  *metrics.Histogram // Hamming/BEC decoding + CRC (both passes)
@@ -48,6 +51,8 @@ func NewPipelineMetrics(reg *metrics.Registry) *PipelineMetrics {
 	}
 	return &PipelineMetrics{
 		DetectSeconds:    stage("detect"),
+		ScanSeconds:      stage("scan"),
+		RefineSeconds:    stage("refine"),
 		SigCalcSeconds:   stage("sigcalc"),
 		ThriveSeconds:    stage("thrive"),
 		DecodeSeconds:    stage("decode"),
@@ -97,6 +102,15 @@ func (m *PipelineMetrics) now() time.Time {
 func (m *PipelineMetrics) observeDetect(start time.Time) {
 	if m != nil {
 		m.DetectSeconds.ObserveSince(start)
+	}
+}
+
+// observeDetectSplit records the scan and refine halves of one detection
+// from the detector's fan-out wall times.
+func (m *PipelineMetrics) observeDetectSplit(scan, refine time.Duration) {
+	if m != nil {
+		m.ScanSeconds.Observe(scan.Seconds())
+		m.RefineSeconds.Observe(refine.Seconds())
 	}
 }
 

@@ -236,6 +236,7 @@ func (DetectStage) Run(p *Pipeline, w *Window) {
 	t0 := p.met.now()
 	w.Pkts = p.detector.Detect(w.Antennas)
 	p.met.observeDetect(t0)
+	p.met.observeDetectSplit(p.detector.ScanStats.Wall, p.detector.RefineStats.Wall)
 	p.met.onScanParallel(p.detector.ScanStats)
 	p.met.onRefineParallel(p.detector.RefineStats)
 	p.met.onDetected(len(w.Pkts))

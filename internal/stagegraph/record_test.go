@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRecordingRoundtrip records a collision decode, parses the recording
@@ -171,6 +172,7 @@ func TestReplayUnknownStage(t *testing.T) {
 func TestNilPipelineMetricsHooks(t *testing.T) {
 	var m *PipelineMetrics
 	m.observeDetect(m.now())
+	m.observeDetectSplit(time.Millisecond, time.Millisecond)
 	m.observeSigCalc(m.now())
 	m.observeThrive(m.now())
 	m.observeDecode(m.now())
