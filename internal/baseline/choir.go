@@ -23,22 +23,21 @@ type Choir struct {
 	detector *detect.Detector
 	demod    *lora.Demodulator
 	rng      *rand.Rand
-
-	// FracTolerance is the maximum |fractional part| for a peak to count
-	// as the packet's own.
-	FracTolerance float64
 }
+
+// fracTolerance is the maximum |fractional part| for a peak to count as
+// the packet's own.
+const fracTolerance = 0.15
 
 // NewChoir builds a Choir receiver.
 func NewChoir(cfg Config) *Choir {
 	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &Choir{
-		cfg:           cfg,
-		detector:      d,
-		demod:         d.Demodulator(),
-		rng:           rand.New(rand.NewSource(cfg.Seed + 1)),
-		FracTolerance: 0.15,
+		cfg:      cfg,
+		detector: d,
+		demod:    d.Demodulator(),
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 }
 
@@ -60,7 +59,7 @@ func (c *Choir) Decode(tr *trace.Trace) []Decoded {
 }
 
 // selectBin picks the strongest peak whose interpolated position is within
-// FracTolerance of an integer bin; falls back to the strongest peak.
+// fracTolerance of an integer bin; falls back to the strongest peak.
 func (c *Choir) selectBin(ants [][]complex128, pk detect.Packet, k int, start float64) int {
 	p := c.cfg.Params
 	acc := make([]float64, p.N())
@@ -77,7 +76,7 @@ func (c *Choir) selectBin(ants [][]complex128, pk detect.Packet, k int, start fl
 	for i := range ps {
 		pos := peaks.InterpolateBin(acc, ps[i].Bin)
 		frac := math.Abs(pos - math.Round(pos))
-		if frac <= c.FracTolerance {
+		if frac <= fracTolerance {
 			if best == nil || ps[i].Height > best.Height {
 				best = &ps[i]
 			}

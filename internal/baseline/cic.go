@@ -27,10 +27,6 @@ type CIC struct {
 	ref      *lora.RefChirps
 	plan     *dsp.FFTPlan
 	rng      *rand.Rand
-
-	// MinSubWindowChips drops sub-windows shorter than this many chips;
-	// very short segments have too little frequency resolution.
-	MinSubWindowChips int
 }
 
 // NewCIC builds a CIC receiver.
@@ -38,13 +34,12 @@ func NewCIC(cfg Config) *CIC {
 	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &CIC{
-		cfg:               cfg,
-		detector:          d,
-		demod:             d.Demodulator(),
-		ref:               lora.NewRefChirps(cfg.Params.SF),
-		plan:              dsp.MustPlan(cfg.Params.N()),
-		rng:               rand.New(rand.NewSource(cfg.Seed + 1)),
-		MinSubWindowChips: cfg.Params.N() / 8,
+		cfg:      cfg,
+		detector: d,
+		demod:    d.Demodulator(),
+		ref:      lora.NewRefChirps(cfg.Params.SF),
+		plan:     dsp.MustPlan(cfg.Params.N()),
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 }
 
@@ -97,12 +92,13 @@ func (c *CIC) selectBin(ants [][]complex128, pk detect.Packet, others []detect.P
 	}
 	sort.Float64s(cuts)
 
-	// Spectrum of each sufficiently long sub-window, summed over antennas.
+	// Spectrum of each sub-window of at least N/8 chips, summed over
+	// antennas; shorter segments have too little frequency resolution.
 	var subSpectra [][]float64
 	buf := make([]complex128, n)
 	for i := 0; i+1 < len(cuts); i++ {
 		a, b := cuts[i], cuts[i+1]
-		if b-a < float64(c.MinSubWindowChips) {
+		if b-a < float64(n/8) {
 			continue
 		}
 		acc := make([]float64, n)

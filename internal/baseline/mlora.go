@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tnb/internal/detect"
-	"tnb/internal/dsp"
 	"tnb/internal/lora"
 	"tnb/internal/trace"
 )
@@ -21,21 +20,20 @@ type MLoRa struct {
 	detector *detect.Detector
 	demod    *lora.Demodulator
 	rng      *rand.Rand
-
-	// MaxRounds bounds the decode/subtract sweeps over the packet set.
-	MaxRounds int
 }
+
+// maxRounds bounds the decode/subtract sweeps over the packet set.
+const maxRounds = 3
 
 // NewMLoRa builds an mLoRa receiver.
 func NewMLoRa(cfg Config) *MLoRa {
 	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &MLoRa{
-		cfg:       cfg,
-		detector:  d,
-		demod:     d.Demodulator(),
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		MaxRounds: 3,
+		cfg:      cfg,
+		detector: d,
+		demod:    d.Demodulator(),
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 }
 
@@ -52,7 +50,7 @@ func (m *MLoRa) Decode(tr *trace.Trace) []Decoded {
 	done := make([]bool, len(pkts))
 
 	var out []Decoded
-	for round := 0; round < m.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		progress := false
 		for i, pk := range pkts {
 			if done[i] {
@@ -123,19 +121,4 @@ func (m *MLoRa) subtract(residual [][]complex128, pk detect.Packet, dec Decoded)
 			}
 		}
 	}
-}
-
-// ResidualPower measures the mean power of a sample range; exported for
-// tests validating the cancellation depth.
-func ResidualPower(samples []complex128, lo, hi int) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(samples) {
-		hi = len(samples)
-	}
-	if hi <= lo {
-		return 0
-	}
-	return dsp.Power(samples[lo:hi])
 }

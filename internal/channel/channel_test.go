@@ -28,7 +28,17 @@ func TestFlatChannel(t *testing.T) {
 func TestFadingAveragePowerGainNormalized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	f := NewFading(ETUProfile, 5, 1e6, rng)
-	g := f.AveragePowerGain(100, 5000)
+	// Mean power gain of the tap processes, sampled over 100 s.
+	const duration, samples = 100.0, 5000
+	var g float64
+	for s := 0; s < samples; s++ {
+		at := duration * float64(s) / samples
+		for _, tp := range f.taps {
+			gain := tp.gainAt(at)
+			g += real(gain)*real(gain) + imag(gain)*imag(gain)
+		}
+	}
+	g /= samples
 	if g < 0.7 || g > 1.3 {
 		t.Errorf("average power gain %g, want ≈1", g)
 	}

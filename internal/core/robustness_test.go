@@ -196,48 +196,3 @@ func TestReceiverIdenticalStartTimes(t *testing.T) {
 		t.Error("no packet decoded from simultaneous starts")
 	}
 }
-
-func TestListDecodeRescuesBorderlinePackets(t *testing.T) {
-	// Across several hard collision scenarios, list decoding must decode
-	// at least as many packets as the plain configuration, and the
-	// configurations must agree on everything plain decoding already got.
-	p := lora.MustParams(8, 4, 125e3, 8)
-	sym := float64(p.SymbolSamples())
-	plainTotal, listTotal := 0, 0
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		b := trace.NewBuilder(p, 1.4, 1, rng)
-		for i := 0; i < 3; i++ {
-			payload := payloadOf(int(seed)*10 + i)
-			start := 20000.4 + float64(i)*(7.3+float64(seed))*sym
-			if err := b.AddPacket(i, 0, payload, start, 10-4*float64(i), -3000+2500*float64(i), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr, recs := b.Build()
-		plain := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed})
-		plainDecoded := plain.Decode(tr)
-		plainTotal += countDecoded(plainDecoded, recs)
-
-		list := NewReceiver(Config{Params: p, UseBEC: true, ListDecode: true, Seed: seed})
-		listDecoded := list.Decode(tr)
-		listTotal += countDecoded(listDecoded, recs)
-	}
-	if listTotal < plainTotal {
-		t.Errorf("list decoding decoded %d vs plain %d", listTotal, plainTotal)
-	}
-	t.Logf("plain %d, list %d packets decoded", plainTotal, listTotal)
-}
-
-func TestListDecodeNeverFalsePositive(t *testing.T) {
-	// List substitution must not conjure CRC passes from noise.
-	p := lora.MustParams(8, 2, 125e3, 8)
-	rng := rand.New(rand.NewSource(1100))
-	b := trace.NewBuilder(p, 0.8, 1, rng)
-	b.NoisePower = 2
-	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true, ListDecode: true})
-	if decoded := r.Decode(tr); len(decoded) != 0 {
-		t.Errorf("%d false decodes with list decoding", len(decoded))
-	}
-}

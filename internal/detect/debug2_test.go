@@ -51,8 +51,9 @@ func TestDebugRefineSteps(t *testing.T) {
 	for g := c.window + 1; g <= c.window+8; g++ {
 		start := float64(g * p.SymbolSamples())
 		acc := make([]float64, n)
+		y, buf := make([]float64, n), make([]complex128, n)
 		for _, ant := range tr.Antennas {
-			y := d.demod.DownSignalVector(ant, start, 0, 0)
+			d.demod.DownSignalVectorInto(y, buf, ant, start, 0, 0)
 			for i := range y {
 				acc[i] += y[i]
 			}

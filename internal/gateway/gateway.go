@@ -171,13 +171,6 @@ type Server struct {
 	// MaxBufferSamples overrides the per-connection decode-buffer ceiling
 	// (stream.Config.MaxBufferSamples semantics).
 	MaxBufferSamples int
-	// ShardQueue is the per-(channel, SF) shard queue depth in decode
-	// batches. 0 selects DefaultShardQueue.
-	ShardQueue int
-	// ShardWait bounds how long a connection waits for room on its shard's
-	// queue before being shed with a shard_overload verdict. 0 selects
-	// DefaultShardWait; negative sheds immediately.
-	ShardWait time.Duration
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -204,7 +197,7 @@ func (s *Server) shards() *sharder {
 			reg := s.Registry
 			newSM = func(k ShardKey) *ShardMetrics { return NewShardMetrics(reg, k) }
 		}
-		s.sh = newSharder(s.ShardQueue, met, newSM)
+		s.sh = newSharder(DefaultShardQueue, met, newSM)
 	})
 	return s.sh
 }
@@ -480,7 +473,7 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 		return errors.New("gateway: server is draining")
 	}
 	runShard := func(do func() shardResult) ([]stream.Decoded, error) {
-		ds, err := shard.exec(s.ShardWait, do)
+		ds, err := shard.exec(do)
 		var soe *ShardOverloadError
 		if errors.As(err, &soe) {
 			met.onShardOverload()

@@ -89,17 +89,14 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// submit enqueues a job, waiting up to wait for room. wait == 0 selects
-// DefaultShardWait; negative sheds immediately when the queue is full.
+// submit enqueues a job, waiting up to wait for room; a non-positive wait
+// sheds immediately when the queue is full.
 func (sh *shard) submit(job shardJob, wait time.Duration) error {
 	select {
 	case sh.jobs <- job:
 		sh.met.onEnqueue()
 		return nil
 	default:
-	}
-	if wait == 0 {
-		wait = DefaultShardWait
 	}
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -114,12 +111,13 @@ func (sh *shard) submit(job shardJob, wait time.Duration) error {
 	return &ShardOverloadError{Key: sh.key, Queue: cap(sh.jobs)}
 }
 
-// exec submits do and waits for its result. The caller blocks until the
-// shard worker has run the job, so one connection never has two batches in
-// flight — that is what keeps per-stream decode order intact.
-func (sh *shard) exec(wait time.Duration, do func() shardResult) ([]stream.Decoded, error) {
+// exec submits do, waiting up to DefaultShardWait for queue room, and
+// waits for its result. The caller blocks until the shard worker has run
+// the job, so one connection never has two batches in flight — that is
+// what keeps per-stream decode order intact.
+func (sh *shard) exec(do func() shardResult) ([]stream.Decoded, error) {
 	job := shardJob{do: do, done: make(chan shardResult, 1)}
-	if err := sh.submit(job, wait); err != nil {
+	if err := sh.submit(job, DefaultShardWait); err != nil {
 		return nil, err
 	}
 	res := <-job.done
@@ -135,25 +133,18 @@ type sharder struct {
 	closed bool
 
 	queue int
-	reg   registryRef
-	amet  *Metrics
-}
-
-// registryRef is the subset of metric wiring a sharder needs; kept as a
-// tiny indirection so shard creation works with a nil registry.
-type registryRef struct {
+	// newShardMetrics registers one shard's instruments; nil (no
+	// registry) leaves shards uninstrumented.
 	newShardMetrics func(ShardKey) *ShardMetrics
+	amet            *Metrics
 }
 
 func newSharder(queue int, amet *Metrics, newSM func(ShardKey) *ShardMetrics) *sharder {
-	if queue <= 0 {
-		queue = DefaultShardQueue
-	}
 	return &sharder{
-		shards: make(map[ShardKey]*shard),
-		queue:  queue,
-		reg:    registryRef{newShardMetrics: newSM},
-		amet:   amet,
+		shards:          make(map[ShardKey]*shard),
+		queue:           queue,
+		newShardMetrics: newSM,
+		amet:            amet,
 	}
 }
 
@@ -169,8 +160,8 @@ func (s *sharder) get(key ShardKey) *shard {
 		return sh
 	}
 	var sm *ShardMetrics
-	if s.reg.newShardMetrics != nil {
-		sm = s.reg.newShardMetrics(key)
+	if s.newShardMetrics != nil {
+		sm = s.newShardMetrics(key)
 	}
 	sh := &shard{key: key, jobs: make(chan shardJob, s.queue), met: sm, amet: s.amet}
 	s.shards[key] = sh

@@ -31,14 +31,6 @@ func (w *Waveform) Duration() float64 {
 	return (PreambleUpchirps + SyncSymbols + float64(DownchirpQuarters)/4 + float64(len(w.shifts))) * w.T
 }
 
-// NumDataSymbols returns the number of data symbols in the packet.
-func (w *Waveform) NumDataSymbols() int { return len(w.shifts) }
-
-// DataStart returns the time offset of the first data symbol.
-func (w *Waveform) DataStart() float64 {
-	return (PreambleUpchirps + SyncSymbols + float64(DownchirpQuarters)/4) * w.T
-}
-
 // At evaluates the baseband waveform at time t seconds from the packet
 // start. Times outside [0, Duration) return 0.
 func (w *Waveform) At(t float64) complex128 {
@@ -185,24 +177,4 @@ func (d *Demodulator) SignalVector(rx []complex128, start float64, cfoCycles flo
 func (d *Demodulator) DownSignalVectorInto(y []float64, buf []complex128, rx []complex128, start float64, cfoCycles float64, symIndex int) {
 	d.DechirpDownInto(buf, rx, start, cfoCycles, symIndex)
 	d.plan.ForwardMag(y, buf)
-}
-
-// DownSignalVector computes |FFT(symbol ⊙ C)|², peaking for downchirps.
-func (d *Demodulator) DownSignalVector(rx []complex128, start float64, cfoCycles float64, symIndex int) []float64 {
-	y := make([]float64, d.p.N())
-	d.DownSignalVectorInto(y, d.newBuf(), rx, start, cfoCycles, symIndex)
-	return y
-}
-
-// HardDemod returns the strongest-bin shift of the symbol at start: the
-// classic single-user LoRa demodulation.
-func (d *Demodulator) HardDemod(rx []complex128, start float64, cfoCycles float64, symIndex int) int {
-	y := d.SignalVector(rx, start, cfoCycles, symIndex)
-	best, bi := 0.0, 0
-	for i, v := range y {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }

@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// parseJoinRequest parses a join request under a raw AppKey: a fresh
+// KeyCipher per call around ParseJoinRequestCached, the raw-key form the
+// join tests drive and the reference the cached path is compared with.
+func parseJoinRequest(wire, appKey []byte) (*JoinRequestFrame, error) {
+	kc, err := NewKeyCipher(appKey)
+	if err != nil {
+		return nil, err
+	}
+	var st Scratch
+	jr, err := ParseJoinRequestCached(wire, kc, &st)
+	if err != nil {
+		return nil, err
+	}
+	return &jr, nil
+}
+
 // TestKeyCipherMACMatchesCMAC pins the cached CMAC against the raw-key
 // reference across message lengths spanning the empty, partial-block,
 // exact-block and multi-block regimes, and across segment splits: the MIC
@@ -130,14 +146,14 @@ func TestCachedJoinPathsMatchLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ParseJoinRequest(wire, key)
+	ref, err := parseJoinRequest(wire, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st Scratch
 	got, err := ParseJoinRequestCached(wire, kc, &st)
-	if err != nil || got != *ref {
-		t.Errorf("cached join parse = %+v (%v), legacy = %+v", got, err, ref)
+	if err != nil || got != *ref || got != *jr {
+		t.Errorf("cached join parse = %+v (%v), legacy = %+v, sent %+v", got, err, ref, jr)
 	}
 	wire[3] ^= 1
 	if _, err := ParseJoinRequestCached(wire, kc, &st); err != ErrBadMIC {

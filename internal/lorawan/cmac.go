@@ -7,9 +7,8 @@
 // that turns its output into verified application data.
 //
 // Two API tiers share one implementation. The original helpers (CMAC,
-// ParseDataFrame, ParseJoinRequest, ...) take a raw []byte key and expand
-// it on every call — simple, but one aes.NewCipher plus subkey schedule
-// per invocation. The cached tier takes a *KeyCipher, which pins the
+// ParseDataFrame, ...) take a raw []byte key and expand it on every call —
+// simple, but one aes.NewCipher plus subkey schedule per invocation. The cached tier takes a *KeyCipher, which pins the
 // expanded AES block and the CMAC subkeys once per key, and writes into
 // caller-provided buffers, so the network server's steady-state verify
 // path performs zero allocations and zero key schedules per frame.

@@ -53,9 +53,10 @@ func (j *JoinRequestFrame) Marshal(appKey []byte) ([]byte, error) {
 	return append(buf, mac[:micLen]...), nil
 }
 
-// ParseJoinRequest parses a join request and verifies its MIC under the
-// AppKey in constant time, returning ErrBadMIC on any tampering and
-// ErrTooShort/ErrBadMType on framing errors.
+// ParseJoinRequestCached parses a join request and verifies its MIC under
+// a cached AppKey cipher in constant time, returning ErrBadMIC on any
+// tampering and ErrTooShort/ErrBadMType on framing errors. It returns the
+// frame by value so the verify hot path allocates nothing.
 //
 // It deliberately does NOT track DevNonce reuse: the codec is stateless,
 // and a replayed-but-authentic frame parses successfully every time.
@@ -63,21 +64,6 @@ func (j *JoinRequestFrame) Marshal(appKey []byte) ([]byte, error) {
 // a (DevEUI, DevNonce) pair it has already activated (see
 // internal/netserver), or an attacker who recorded one join can force a
 // rekey at will.
-func ParseJoinRequest(wire, appKey []byte) (*JoinRequestFrame, error) {
-	kc, err := NewKeyCipher(appKey)
-	if err != nil {
-		return nil, err
-	}
-	var st Scratch
-	jr, err := ParseJoinRequestCached(wire, kc, &st)
-	if err != nil {
-		return nil, err
-	}
-	return &jr, nil
-}
-
-// ParseJoinRequestCached is ParseJoinRequest under a cached AppKey cipher,
-// returning the frame by value so the verify hot path allocates nothing.
 func ParseJoinRequestCached(wire []byte, kc *KeyCipher, st *Scratch) (JoinRequestFrame, error) {
 	if len(wire) != 1+8+8+2+micLen {
 		return JoinRequestFrame{}, ErrTooShort
@@ -188,7 +174,7 @@ func ParseJoinAccept(wire, appKey []byte) (*JoinAcceptFrame, error) {
 // the device and the network alike — and performs no validation beyond
 // the AES key length: it cannot tell a verified exchange from a forged
 // one. Callers must only feed it nonces from a MIC-verified join
-// (ParseJoinRequest / ParseJoinAccept), and both sides must use the
+// (ParseJoinRequestCached / ParseJoinAccept), and both sides must use the
 // exact nonce values from the wire, or the derived keys silently
 // diverge and every subsequent frame fails its MIC.
 func DeriveSessionKeys(appKey []byte, appNonce, netID uint32, devNonce uint16) (nwkSKey, appSKey []byte, err error) {

@@ -13,7 +13,7 @@ func TestJoinRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseJoinRequest(wire, appKey())
+	got, err := parseJoinRequest(wire, appKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestJoinRequestMIC(t *testing.T) {
 	for i := range wire {
 		bad := append([]byte(nil), wire...)
 		bad[i] ^= 0x80
-		if _, err := ParseJoinRequest(bad, appKey()); err == nil {
+		if _, err := parseJoinRequest(bad, appKey()); err == nil {
 			t.Errorf("tampering at byte %d undetected", i)
 		}
 	}
-	if _, err := ParseJoinRequest(wire[:10], appKey()); err != ErrTooShort {
+	if _, err := parseJoinRequest(wire[:10], appKey()); err != ErrTooShort {
 		t.Errorf("short frame: %v", err)
 	}
 }
@@ -129,19 +129,19 @@ func TestParseJoinRequestBadMIC(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := bytes.Repeat([]byte{0x99}, 16)
-	if _, err := ParseJoinRequest(wire, wrong); err != ErrBadMIC {
+	if _, err := parseJoinRequest(wire, wrong); err != ErrBadMIC {
 		t.Errorf("wrong key: %v, want ErrBadMIC", err)
 	}
 	for i := len(wire) - 4; i < len(wire); i++ {
 		bad := append([]byte(nil), wire...)
 		bad[i] ^= 0x01
-		if _, err := ParseJoinRequest(bad, appKey()); err != ErrBadMIC {
+		if _, err := parseJoinRequest(bad, appKey()); err != ErrBadMIC {
 			t.Errorf("MIC byte %d flipped: %v, want ErrBadMIC", i, err)
 		}
 	}
 	bad := append([]byte(nil), wire...)
 	bad[0] = uint8(JoinAccept) << 5
-	if _, err := ParseJoinRequest(bad, appKey()); err != ErrBadMType {
+	if _, err := parseJoinRequest(bad, appKey()); err != ErrBadMType {
 		t.Errorf("wrong mtype: %v, want ErrBadMType", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestParseJoinRequestNoReplayProtection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := ParseJoinRequest(wire, appKey())
+		got, err := parseJoinRequest(wire, appKey())
 		if err != nil {
 			t.Fatalf("replay %d: %v (the codec must stay stateless; replay defense lives in the caller)", i, err)
 		}

@@ -27,9 +27,6 @@ func Explain(w io.Writer, pt *PacketTrace) {
 	if pt.MaskedPeaks > 0 {
 		fmt.Fprintf(w, "  masking: %d known peaks masked from this packet's symbols\n", pt.MaskedPeaks)
 	}
-	if pt.ListDecodeTried > 0 {
-		fmt.Fprintf(w, "  list decode: %d runner-up substitutions tried\n", pt.ListDecodeTried)
-	}
 
 	if len(pt.Blocks) > 0 {
 		fmt.Fprintf(w, "  bec blocks:\n")

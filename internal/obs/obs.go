@@ -251,8 +251,6 @@ type PacketTrace struct {
 	CRCTests int `json:"crc_tests,omitempty"`
 	// BECExhausted reports the W budget ran out with candidates untested.
 	BECExhausted bool `json:"bec_exhausted,omitempty"`
-	// ListDecodeTried counts runner-up substitution retries.
-	ListDecodeTried int `json:"list_decode_tried,omitempty"`
 
 	// Decode outcome. DataSymbols and AirtimeSec come from the decoded PHY
 	// header and match core.Decoded's fields.

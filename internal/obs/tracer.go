@@ -156,10 +156,14 @@ func (t *Tracer) Finish(pt *PacketTrace) {
 }
 
 // OnDetect exports one detection-stage event.
-func (t *Tracer) OnDetect(ev DetectEvent) {
+func (t *Tracer) OnDetect(in DetectEvent) {
 	if t == nil {
 		return
 	}
+	// Copy after the nil check: emit takes the event's address, and a
+	// parameter whose address escapes is heap-allocated on entry, which
+	// would cost disabled tracing one allocation per event.
+	ev := in
 	ev.Type = TypeDetect
 	if ev.Origin == nil {
 		ev.Origin = t.origin
@@ -197,10 +201,14 @@ func (t *Tracer) OnConn(event, remote, detail string) {
 
 // OnNet exports one network-server event. The event's own Origin (built
 // from the uplink's gateway/channel/SF metadata) wins over the tracer's.
-func (t *Tracer) OnNet(ev NetEvent) {
+func (t *Tracer) OnNet(in NetEvent) {
 	if t == nil {
 		return
 	}
+	// Copy after the nil check: emit takes the event's address, and a
+	// parameter whose address escapes is heap-allocated on entry, which
+	// would cost disabled tracing one allocation per event.
+	ev := in
 	ev.Type = TypeNet
 	if ev.Origin == nil {
 		ev.Origin = t.origin

@@ -110,3 +110,49 @@ func TestGoldenStageReplay(t *testing.T) {
 		})
 	}
 }
+
+// TestLegacyHeaderFieldsReplay rewrites the golden's header record to the
+// form earlier writers emitted, which still carried the list-decoding
+// fields ("ListDecode":false,"ListDecodeBudget":0). ParseRecording must
+// accept such a recording, and every stage must still replay byte-for-byte.
+func TestLegacyHeaderFieldsReplay(t *testing.T) {
+	raw, err := os.ReadFile(goldenRecording)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := newRecordReader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, hdr, err := rr.next()
+	if err != nil || name != recNameHeader {
+		t.Fatalf("first record %q: %v", name, err)
+	}
+	legacyHdr := bytes.Replace(hdr, []byte(`,"Seed":`),
+		[]byte(`,"ListDecode":false,"ListDecodeBudget":0,"Seed":`), 1)
+	if bytes.Equal(legacyHdr, hdr) {
+		t.Fatalf("header %s has no Seed field to anchor the legacy fields", hdr)
+	}
+	legacy := appendRecord([]byte(recMagic), recNameHeader, legacyHdr)
+	legacy = append(legacy, raw[rr.off:]...)
+
+	rec, err := ParseRecording(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Header.Config().MaxPayloadLen != goldenConfig().MaxPayloadLen {
+		t.Errorf("legacy header parsed as %+v", rec.Header)
+	}
+	diffs, err := rec.ReplayChain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) == 0 {
+		t.Fatal("legacy recording replayed no stages")
+	}
+	for _, d := range diffs {
+		if !d.Match {
+			t.Error(d)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package stagegraph
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"tnb/internal/bec"
 	"tnb/internal/detect"
@@ -36,14 +35,6 @@ type Config struct {
 	MaxPayloadLen int
 	// Omega overrides the history-cost weight ω (0 → paper's 0.1).
 	Omega float64
-	// ListDecode retries a failed packet with Thrive's runner-up peak
-	// substituted one symbol at a time — a list-decoding extension in the
-	// spirit of the papers §2 cites ([16, 17]), applied per collided
-	// packet. Off by default to match the paper's configuration.
-	ListDecode bool
-	// ListDecodeBudget caps the substitution attempts per packet
-	// (0 → 24).
-	ListDecodeBudget int
 	// Seed drives BEC's random candidate sampling. Each packet gets its own
 	// deterministic stream derived from (Seed, pass, packet index), so the
 	// sampling is independent of decode order and worker count.
@@ -246,8 +237,8 @@ func (DetectStage) Run(p *Pipeline, w *Window) {
 }
 
 // SigCalcStage builds one prefilled signal-vector calculator and one
-// assignment state per detection, so every later SigVec read — Thrive, SNR
-// estimation, list decoding — is a pure cached read. Calculators come from
+// assignment state per detection, so every later SigVec read — Thrive and
+// SNR estimation — is a pure cached read. Calculators come from
 // the pool (drawn serially; the cursor is not goroutine-safe), then packets
 // fan out across the worker pool for the prefill; leftover width speeds up
 // each packet's own prefill. Traces are opened serially afterwards so the
@@ -429,40 +420,21 @@ func (p *Pipeline) decodeAssigned(st *thrive.PacketState, pk detect.Packet, pass
 		return Decoded{}, false
 	}
 
-	var hdr lora.Header
-	var payload []uint8
-	rescued := 0
-	// Failure-attribution evidence, accumulated across decode attempts.
+	// becInfo holds the decode result; only the BEC decoder fills in its
+	// failure-attribution evidence.
 	var becInfo bec.PacketResult
-	attempts := 0
-	decodeOnce := func(sh []int) (lora.Header, []uint8, int, bool) {
-		attempts++
-		if p.cfg.UseBEC {
-			pd := bec.NewPacketDecoder(p.cfg.W, rng)
-			if attempts == 1 {
-				// Block outcomes are traced for the first attempt only;
-				// list-decode retries would append duplicate rows.
-				pd.Trace = st.Trace
-			}
-			res := pd.DecodePacket(pr, sh)
-			becInfo.CRCTests += res.CRCTests
-			becInfo.HeaderOK = becInfo.HeaderOK || res.HeaderOK
-			becInfo.BlockFailed = becInfo.BlockFailed || res.BlockFailed
-			becInfo.Exhausted = becInfo.Exhausted || res.Exhausted
-			return res.Header, res.Payload, res.Rescued, res.OK
-		}
-		res := lora.DecodeDefault(pr, sh)
-		return res.Header, res.Payload, 0, res.OK
+	if p.cfg.UseBEC {
+		pd := bec.NewPacketDecoder(p.cfg.W, rng)
+		pd.Trace = st.Trace
+		becInfo = pd.DecodePacket(pr, shifts)
+	} else {
+		res := lora.DecodeDefault(pr, shifts)
+		becInfo.Header, becInfo.Payload, becInfo.OK = res.Header, res.Payload, res.OK
 	}
-	var ok bool
-	hdr, payload, rescued, ok = decodeOnce(shifts)
-	if !ok && p.cfg.ListDecode {
-		hdr, payload, rescued, ok = p.listDecode(st, shifts, decodeOnce)
-	}
-	if !ok {
+	hdr, payload, rescued := becInfo.Header, becInfo.Payload, becInfo.Rescued
+	if !becInfo.OK {
 		if pt := st.Trace; pt != nil {
 			pt.CRCTests = becInfo.CRCTests
-			pt.ListDecodeTried = attempts - 1
 			pt.BECExhausted = becInfo.Exhausted
 			headerOK := becInfo.HeaderOK
 			if !p.cfg.UseBEC {
@@ -503,7 +475,6 @@ func (p *Pipeline) decodeAssigned(st *thrive.PacketState, pk detect.Packet, pass
 		pt.OK = true
 		pt.Rescued = rescued
 		pt.CRCTests = becInfo.CRCTests
-		pt.ListDecodeTried = attempts - 1
 		pt.DataSymbols = dec.DataSymbols
 		pt.AirtimeSec = dec.AirtimeSec
 	}
@@ -533,47 +504,6 @@ func attributeFailure(pt *obs.PacketTrace, headerOK, blockFailed, exhausted bool
 		return obs.FailBECUnrepairable
 	}
 	return obs.FailCRC
-}
-
-// listDecode retries the packet with the runner-up peak substituted one
-// symbol at a time, most-ambiguous symbols first (smallest height gap
-// between the chosen peak and its alternate).
-func (p *Pipeline) listDecode(st *thrive.PacketState, shifts []int,
-	decodeOnce func([]int) (lora.Header, []uint8, int, bool)) (lora.Header, []uint8, int, bool) {
-
-	budget := p.cfg.ListDecodeBudget
-	if budget <= 0 {
-		budget = 24
-	}
-	type cand struct {
-		idx int
-		gap float64
-	}
-	var cands []cand
-	for i, alt := range st.Alternates {
-		if i >= len(shifts) || alt < 0 || alt == shifts[i] {
-			continue
-		}
-		// Ambiguity proxy: how close the alternate's signal level is to
-		// the chosen peak's.
-		chosen := st.Heights[i]
-		altH := st.Calc.ValueAt(i, float64(alt))
-		gap := chosen - altH
-		cands = append(cands, cand{idx: i, gap: gap})
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].gap < cands[b].gap })
-	if len(cands) > budget {
-		cands = cands[:budget]
-	}
-	trial := make([]int, len(shifts))
-	for _, c := range cands {
-		copy(trial, shifts)
-		trial[c.idx] = st.Alternates[c.idx]
-		if hdr, payload, rescued, ok := decodeOnce(trial); ok {
-			return hdr, payload, rescued, true
-		}
-	}
-	return lora.Header{}, nil, 0, false
 }
 
 // estimateSNR derives a per-packet SNR estimate from the preamble peak

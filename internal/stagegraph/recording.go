@@ -38,8 +38,6 @@ type RecHeader struct {
 	W                 int
 	MaxPayloadLen     int
 	Omega             float64
-	ListDecode        bool
-	ListDecodeBudget  int
 	Seed              int64
 }
 
@@ -58,8 +56,6 @@ func headerFromConfig(cfg *Config) RecHeader {
 		W:                 cfg.W,
 		MaxPayloadLen:     cfg.MaxPayloadLen,
 		Omega:             cfg.Omega,
-		ListDecode:        cfg.ListDecode,
-		ListDecodeBudget:  cfg.ListDecodeBudget,
 		Seed:              cfg.Seed,
 	}
 }
@@ -76,8 +72,6 @@ func (h *RecHeader) Config() Config {
 		W:                 h.W,
 		MaxPayloadLen:     h.MaxPayloadLen,
 		Omega:             h.Omega,
-		ListDecode:        h.ListDecode,
-		ListDecodeBudget:  h.ListDecodeBudget,
 		Seed:              h.Seed,
 	}
 }

@@ -205,12 +205,6 @@ func TestNewStreamerValidation(t *testing.T) {
 	if _, err := New(Config{Receiver: core.Config{Params: lora.Params{}}}); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := New(Config{
-		Receiver:      core.Config{Params: streamParams()},
-		WindowSamples: 10, // smaller than the overlap
-	}); err == nil {
-		t.Error("window smaller than overlap accepted")
-	}
 }
 
 func TestStreamerTraceEvents(t *testing.T) {

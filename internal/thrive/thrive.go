@@ -39,17 +39,20 @@ type Config struct {
 	Policy Policy
 	// Omega is the history-cost weight ω (paper §5.3.3; 0.1).
 	Omega float64
-	// SmoothWindow is the moving-average window of the history curve fit.
-	SmoothWindow int
-	// HistorySpread is the multiple of the deviation D used for the upper
-	// and lower estimates (paper: U = A + 4D, L = A - 4D).
-	HistorySpread float64
 }
 
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig() Config {
-	return Config{Policy: PolicyThrive, Omega: 0.1, SmoothWindow: 7, HistorySpread: 4}
+	return Config{Policy: PolicyThrive, Omega: 0.1}
 }
+
+const (
+	// smoothWindow is the moving-average window of the history curve fit.
+	smoothWindow = 7
+	// historySpread is the multiple of the deviation D used for the upper
+	// and lower estimates (paper §5.3.3: U = A + 4D, L = A - 4D).
+	historySpread = 4
+)
 
 // PacketState tracks one detected packet through peak assignment.
 type PacketState struct {
@@ -72,8 +75,8 @@ type PacketState struct {
 	// Heights receives the assigned peak heights, feeding the history.
 	Heights []float64
 	// Alternates receives the runner-up peak bin per symbol (-1 when the
-	// symbol had no second candidate); list decoding uses it to retry
-	// failed packets.
+	// symbol had no second candidate); it is part of the recorded thrive
+	// boundary.
 	Alternates []int
 
 	// Trace, when non-nil, records each symbol's assignment decision
@@ -134,15 +137,8 @@ type Engine struct {
 // NewEngine builds an engine; zero-value config fields fall back to the
 // paper's defaults.
 func NewEngine(p lora.Params, cfg Config) *Engine {
-	def := DefaultConfig()
 	if cfg.Omega == 0 {
-		cfg.Omega = def.Omega
-	}
-	if cfg.SmoothWindow == 0 {
-		cfg.SmoothWindow = def.SmoothWindow
-	}
-	if cfg.HistorySpread == 0 {
-		cfg.HistorySpread = def.HistorySpread
+		cfg.Omega = DefaultConfig().Omega
 	}
 	return &Engine{cfg: cfg, p: p}
 }
@@ -437,7 +433,7 @@ func (e *Engine) fitHistory(ps *PacketState, idx int) (historyFit, bool) {
 		h = append(h, ps.historySeed...)
 		h = append(h, ps.PriorHeights...)
 		e.hist = h
-		e.fit = stats.MovingAverageInto(e.fit, h, e.cfg.SmoothWindow)
+		e.fit = stats.MovingAverageInto(e.fit, h, smoothWindow)
 		fit := e.fit
 		at := len(ps.historySeed) + idx
 		if at >= len(fit) {
@@ -455,15 +451,15 @@ func (e *Engine) fitHistory(ps *PacketState, idx int) (historyFit, bool) {
 	if len(h) == 0 {
 		return historyFit{}, false
 	}
-	e.fit = stats.MovingAverageInto(e.fit, h, e.cfg.SmoothWindow)
+	e.fit = stats.MovingAverageInto(e.fit, h, smoothWindow)
 	fit := e.fit
 	return historyFit{a: fit[len(fit)-1], d: e.sel.MedianAbsResiduals(h, fit)}, true
 }
 
 // historyCost computes Eq. 2.
 func (e *Engine) historyCost(f *historyFit, eta float64) float64 {
-	u := f.a + e.cfg.HistorySpread*f.d
-	l := math.Max(0, f.a-e.cfg.HistorySpread*f.d)
+	u := f.a + historySpread*f.d
+	l := math.Max(0, f.a-historySpread*f.d)
 	switch {
 	case eta > u:
 		if eta <= 0 {

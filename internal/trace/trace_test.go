@@ -86,7 +86,7 @@ func TestBuilderNoiseFloor(t *testing.T) {
 func TestBuilderRejectsOutOfRangePacket(t *testing.T) {
 	p := testParams()
 	b := NewBuilder(p, 0.05, 1, rand.New(rand.NewSource(33)))
-	err := b.AddPacket(1, 0, make([]uint8, 16), float64(b.DurationSamples())-100, 10, 0, nil)
+	err := b.AddPacket(1, 0, make([]uint8, 16), float64(b.duration)-100, 10, 0, nil)
 	if err == nil {
 		t.Error("expected error for packet past trace end")
 	}
@@ -147,12 +147,17 @@ func TestBuiltPacketDecodesWithKnownParameters(t *testing.T) {
 	rec := recs[0]
 
 	d := lora.NewDemodulator(p)
-	w := lora.NewWaveform(p, rec.Shifts)
-	dataStart := rec.StartSample + w.DataStart()*p.SampleRate()
+	dataStart := rec.StartSample + p.PreambleSymbols()*p.SymbolDuration()*p.SampleRate()
 	cfoCycles := cfoHz * p.SymbolDuration()
 	shifts := make([]int, len(rec.Shifts))
 	for k := range shifts {
-		shifts[k] = d.HardDemod(tr.Antennas[0], dataStart+float64(k*p.SymbolSamples()), cfoCycles, k)
+		// Hard demodulation: the strongest bin of each data symbol.
+		y := d.SignalVector(tr.Antennas[0], dataStart+float64(k*p.SymbolSamples()), cfoCycles, k)
+		for i, v := range y {
+			if v > y[shifts[k]] {
+				shifts[k] = i
+			}
+		}
 	}
 	res := lora.DecodeDefault(p, shifts)
 	if !res.OK {
@@ -184,7 +189,7 @@ func TestScheduleUniformFitsPackets(t *testing.T) {
 	}
 	pkt := p.PacketSamples(16)
 	for _, s := range starts {
-		if s < 0 || int(s)+pkt > b.DurationSamples() {
+		if s < 0 || int(s)+pkt > b.duration {
 			t.Errorf("start %g does not fit", s)
 		}
 	}

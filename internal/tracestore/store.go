@@ -31,11 +31,9 @@ type Options struct {
 	// once it reaches this size. Default 4 MiB.
 	SegmentBytes int64
 	// MaxBytes caps the store's total size; when a seal pushes the sum
-	// over, whole sealed segments are dropped oldest-first. 0 = unlimited.
+	// over, whole sealed segments are dropped oldest-first. Default 1 GiB:
+	// a long-lived writer must never fill the disk.
 	MaxBytes int64
-	// MaxAge drops sealed segments whose newest record (file mtime) is
-	// older than this, checked at each seal. 0 = unlimited.
-	MaxAge time.Duration
 	// QueueSize bounds the append queue between the hot path and the
 	// writer goroutine. Appends beyond a full queue are dropped and
 	// counted. Default 1024.
@@ -98,6 +96,9 @@ func Open(o Options) (*Store, error) {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
+	}
+	if o.MaxBytes <= 0 {
+		o.MaxBytes = 1 << 30
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 1024
@@ -410,7 +411,7 @@ func (s *Store) roll() {
 }
 
 // retain drops whole sealed segments oldest-first while the store exceeds
-// its size or age budget. Only ever called from the writer goroutine, at
+// its size budget. Only ever called from the writer goroutine, at
 // seal time — retention latency is bounded by the segment size.
 func (s *Store) retain() {
 	for {
@@ -429,13 +430,7 @@ func (s *Store) retain() {
 		}
 		s.mu.Unlock()
 
-		drop := s.opt.MaxBytes > 0 && total > s.opt.MaxBytes
-		if !drop && s.opt.MaxAge > 0 {
-			if st, err := os.Stat(filepath.Join(s.opt.Dir, segName(oldest.Base))); err == nil {
-				drop = time.Since(st.ModTime()) > s.opt.MaxAge
-			}
-		}
-		if !drop {
+		if total <= s.opt.MaxBytes {
 			return
 		}
 		os.Remove(filepath.Join(s.opt.Dir, segName(oldest.Base)))

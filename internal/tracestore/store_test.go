@@ -187,6 +187,22 @@ func TestRecoveryAcrossSealedSegments(t *testing.T) {
 	}
 }
 
+// TestOpenDefaultsToFiniteCap pins the disk bound of the long-lived
+// writers, which open the store without a MaxBytes: the zero value (and a
+// negative one) must select a finite cap, never unlimited.
+func TestOpenDefaultsToFiniteCap(t *testing.T) {
+	for _, maxBytes := range []int64{0, -1} {
+		st, err := Open(Options{Dir: t.TempDir(), MaxBytes: maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.opt.MaxBytes != 1<<30 {
+			t.Errorf("MaxBytes %d opened with cap %d, want 1 GiB", maxBytes, st.opt.MaxBytes)
+		}
+		st.Close()
+	}
+}
+
 func TestRetentionDropsWholeSegments(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
